@@ -29,9 +29,9 @@ use smartsage_sim::{EventQueue, SimDuration, SimTime, Xoshiro256};
 use smartsage_store::{
     check_sharded_population, shard_ranges, share_store, share_topology, FileStoreOptions,
     FileTopology, InMemoryStore, InMemoryTopology, IspGatherOptions, IspGatherStore,
-    IspSampleTopology, MeteredStore, ShardedFeatureStore, ShardedTopology, SharedCsrFile,
-    SharedDynStore, SharedFileStore, SharedTopology, StoreHandle, StoreKind, StoreRegistry,
-    StoreStats, TopologyKind,
+    IspSampleTopology, ShardedFeatureStore, ShardedTopology, SharedCsrFile, SharedDynStore,
+    SharedFileStore, SharedTopology, StoreHandle, StoreKind, StoreRegistry, StoreStats,
+    TopologyKind,
 };
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -258,7 +258,7 @@ fn build_store(
         let store = if shards > 1 {
             share_store(ShardedFeatureStore::mem(features, num_nodes, shards))
         } else {
-            share_store(MeteredStore::new(InMemoryStore::new(features, num_nodes)))
+            share_store(InMemoryStore::new(features, num_nodes))
         };
         return (store, Vec::new());
     }

@@ -1,26 +1,17 @@
-//! Scoped feature-store I/O accounting (plus a process-wide
-//! compatibility aggregate).
+//! Scoped feature-store I/O accounting.
 //!
 //! Experiment drivers return typed tables, not pipeline reports, so
 //! per-run [`StoreStats`] need a side channel to reach sweep consumers
-//! (the `reproduce` CLI). Historically that channel was a set of
-//! process-global atomics that were **never reset**: a second sweep in
-//! the same process reported the first sweep's bytes on top of its own,
-//! and concurrent sweeps contaminated each other. The design-level fix
-//! is *scoped* accounting:
-//!
-//! * A sweep installs a [`SweepScope`] on each of its worker threads
-//!   (see [`Runner::sweep`](crate::runner::Runner::sweep)): an
-//!   [`AtomicStoreStats`] accumulator plus the sweep's private
-//!   [`StoreRegistry`]. Every pipeline run [`record`]s its exact
-//!   per-run counters into the innermost scope on its thread, and
-//!   [`current_registry`] routes the run's store opens through the
-//!   sweep's registry — one shared store and one page cache per sweep,
-//!   zero leakage between sweeps.
-//! * The process-wide aggregate survives as a thin compatibility shim:
-//!   [`record`] still feeds it, [`snapshot`]/[`reset`] still read and
-//!   zero it. New code should consume
-//!   [`SweepOutcome::store_stats`](crate::runner::SweepOutcome) instead.
+//! (the `reproduce` CLI). That channel is *scoped*: a sweep installs a
+//! [`SweepScope`] on each of its worker threads (see
+//! [`Runner::sweep`](crate::runner::Runner::sweep)) — [`AtomicStoreStats`]
+//! accumulators plus the sweep's private [`StoreRegistry`]. Every
+//! pipeline run [`record`]s its exact per-run counters into the active
+//! scopes on its thread, and [`current_registry`] routes the run's store
+//! opens through the sweep's registry — one shared store and one page
+//! cache per sweep, zero leakage between sweeps. A run outside any
+//! scope records nothing; sweep consumers read
+//! [`SweepOutcome::store_stats`](crate::runner::SweepOutcome).
 
 use smartsage_store::{AtomicStoreStats, StoreRegistry, StoreStats};
 use std::cell::RefCell;
@@ -128,26 +119,18 @@ pub fn current_registry() -> Option<Arc<StoreRegistry>> {
     SCOPES.with(|s| s.borrow().last().map(|scope| Arc::clone(&scope.registry)))
 }
 
-/// Process-wide aggregate (compatibility shim; see the module docs).
-fn global() -> &'static AtomicStoreStats {
-    static GLOBAL: std::sync::OnceLock<AtomicStoreStats> = std::sync::OnceLock::new();
-    GLOBAL.get_or_init(AtomicStoreStats::default)
-}
-
 /// Adds one run's exact feature-store counters to every active scope
-/// on this thread and to the process-wide aggregate.
+/// on this thread.
 pub fn record(stats: &StoreStats) {
     SCOPES.with(|s| {
         for scope in s.borrow().iter() {
             scope.stats.add(stats);
         }
     });
-    global().add(stats);
 }
 
 /// Adds one run's exact graph-topology counters to every active scope
-/// on this thread (there is no global shim for topology — the scoped
-/// path is the only consumer).
+/// on this thread.
 pub fn record_topology(stats: &StoreStats) {
     SCOPES.with(|s| {
         for scope in s.borrow().iter() {
@@ -177,42 +160,9 @@ pub fn record_topology_shards(per_shard: &[StoreStats]) {
     });
 }
 
-/// The process-wide aggregate recorded so far (compatibility shim —
-/// prefer a sweep's own [`SweepOutcome::store_stats`](crate::runner::SweepOutcome)).
-pub fn snapshot() -> StoreStats {
-    global().snapshot()
-}
-
-/// Zeroes the process-wide aggregate (test isolation).
-pub fn reset() {
-    global().reset()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_accumulates_and_snapshot_reads() {
-        // Other tests may record concurrently; assert deltas via a
-        // distinctive increment rather than absolute values.
-        let before = snapshot();
-        let one = StoreStats {
-            gathers: 1,
-            nodes_gathered: 2,
-            feature_bytes: 3,
-            pages_read: 4,
-            bytes_read: 5,
-            page_hits: 6,
-            page_misses: 7,
-            ..StoreStats::default()
-        };
-        record(&one);
-        let after = snapshot();
-        assert!(after.gathers > before.gathers);
-        assert!(after.bytes_read >= before.bytes_read + 5);
-        assert!(after.page_misses >= before.page_misses + 7);
-    }
 
     #[test]
     fn scopes_capture_only_their_own_records() {
@@ -234,7 +184,7 @@ mod tests {
             record(&one);
             assert!(Arc::ptr_eq(&current_registry().unwrap(), &outer.registry));
         }
-        record(&one); // outside any scope: only the global shim sees it
+        record(&one); // outside any scope: recorded nowhere
         assert_eq!(outer.stats.snapshot().gathers, 3);
         assert_eq!(
             inner.stats.snapshot().gathers,

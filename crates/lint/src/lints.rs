@@ -141,6 +141,7 @@ pub fn in_scope(code: Code, path: &str) -> bool {
                     path,
                     "crates/store/src/file.rs"
                         | "crates/store/src/graph_file.rs"
+                        | "crates/store/src/paged.rs"
                         | "crates/store/src/shared.rs"
                         | "crates/store/src/registry.rs"
                 )

@@ -599,6 +599,28 @@ mod tests {
     }
 
     #[test]
+    fn zero_page_size_on_a_file_tier_is_a_typed_error_not_a_panic() {
+        for (store, topology) in [
+            (StoreKind::File, TopologyKind::Mem),
+            (StoreKind::Mem, TopologyKind::File),
+        ] {
+            let config = EngineConfig {
+                store,
+                topology,
+                page_bytes: 0,
+                ..tiny_config()
+            };
+            match Engine::new(config) {
+                Ok(_) => panic!("page size 0 must not open ({store:?}, {topology:?})"),
+                Err(err) => assert!(
+                    matches!(err, StoreError::BadPageSize { page_bytes: 0, .. }),
+                    "{err}"
+                ),
+            }
+        }
+    }
+
+    #[test]
     fn out_of_range_node_is_a_422_naming_the_id_without_poisoning_the_window() {
         let mut engine = Engine::new(tiny_config()).unwrap();
         let requests = vec![request("sample", &[1], 1), request("infer", &[7777], 2)];

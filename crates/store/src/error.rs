@@ -43,6 +43,13 @@ pub enum StoreError {
         /// The length found on disk.
         actual: u64,
     },
+    /// A store was opened with a page size of zero bytes.
+    BadPageSize {
+        /// The file being opened.
+        path: PathBuf,
+        /// The requested page size.
+        page_bytes: u64,
+    },
     /// A registry open requested different store options than the
     /// already-open shared store for the same content key: handing out
     /// the existing store would silently run the caller's I/O
@@ -185,6 +192,11 @@ impl fmt::Display for StoreError {
                 f,
                 "feature file '{}' is truncated or corrupt: expected exactly \
                  {expected} bytes, found {actual}",
+                path.display()
+            ),
+            StoreError::BadPageSize { path, page_bytes } => write!(
+                f,
+                "file '{}': page size must be positive, got {page_bytes} bytes",
                 path.display()
             ),
             StoreError::OptionsConflict {

@@ -33,24 +33,21 @@
 //!
 //! [`SharedCsrFile`] is the topology analogue of
 //! [`SharedFileStore`](crate::SharedFileStore): the file is opened once
-//! per registry and read with positioned reads through a lock-striped
-//! [`ShardedPageCache`]; a batch of offset or edge entries is planned
-//! (pure address arithmetic), its distinct pages merged into maximal
-//! contiguous runs ([`merge_page_runs`]), and each maximal stretch of
-//! missing pages costs one positioned read. Every operation takes
-//! `&self` and returns its exact per-call I/O deltas, which the
-//! caller's [`FileTopology`](crate::FileTopology) handle accumulates
-//! into scoped counters.
+//! per registry and read through the same paged-read core, so a batch
+//! of offset or edge entries is planned into its distinct pages, served
+//! from a lock-striped page cache, and each maximal stretch of missing
+//! pages costs one positioned read. Every operation takes `&self` and
+//! returns its exact per-call I/O deltas, which the caller's
+//! [`FileTopology`](crate::FileTopology) handle accumulates into scoped
+//! counters.
 
 use crate::error::StoreError;
 use crate::file::FileStoreOptions;
+use crate::paged::PagedFile;
 use crate::stats::AtomicStoreStats;
 use crate::StoreStats;
 use smartsage_graph::{CsrGraph, NodeId};
-use smartsage_hostio::{
-    merge_page_runs, ByteRange, ReadEngine, ReadRequest, ReadSource, ShardedPageCache,
-};
-use std::collections::HashMap;
+use smartsage_hostio::{ByteRange, PageRun, ReadEngine};
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -314,15 +311,10 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()
 /// state.
 #[derive(Debug)]
 pub struct SharedCsrFile {
-    source: ReadSource,
-    path: PathBuf,
+    file: PagedFile,
     num_nodes: usize,
     num_edges: u64,
-    file_len: u64,
     edge_base: u64,
-    opts: FileStoreOptions,
-    cache: ShardedPageCache,
-    engine: Arc<ReadEngine>,
     prefetch: AtomicStoreStats,
 }
 
@@ -336,9 +328,9 @@ impl SharedCsrFile {
         )
     }
 
-    /// Opens `path` through the full magic/header/length/end-point
-    /// validation, striping the page cache over `shards` locks. Reads
-    /// go through the process-wide [`ReadEngine`].
+    /// Opens `path` through the full magic/header/length/end-point and
+    /// page-size validation, striping the page cache over `shards`
+    /// locks. Reads go through the process-wide [`ReadEngine`].
     pub fn open_with(
         path: &Path,
         opts: FileStoreOptions,
@@ -356,30 +348,24 @@ impl SharedCsrFile {
         shards: usize,
         engine: Arc<ReadEngine>,
     ) -> Result<SharedCsrFile, StoreError> {
-        assert!(opts.page_bytes > 0, "page size must be positive");
         let raw = RawGraphFile::open(path)?;
         Ok(SharedCsrFile {
-            source: ReadSource::new(raw.file, raw.path.clone()),
-            edge_base: edge_array_base(raw.num_nodes as u64),
-            path: raw.path,
+            file: PagedFile::new(raw.file, raw.path, raw.file_len, opts, shards, engine)?,
             num_nodes: raw.num_nodes,
             num_edges: raw.num_edges,
-            file_len: raw.file_len,
-            opts,
-            cache: ShardedPageCache::new(opts.cache_pages, shards),
-            engine,
+            edge_base: edge_array_base(raw.num_nodes as u64),
             prefetch: AtomicStoreStats::default(),
         })
     }
 
     /// The file this store reads from.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.file.path()
     }
 
     /// The configured options.
     pub fn options(&self) -> FileStoreOptions {
-        self.opts
+        self.file.options()
     }
 
     /// Number of nodes the graph holds.
@@ -394,27 +380,27 @@ impl SharedCsrFile {
 
     /// Exact length of the backing file in bytes.
     pub fn file_len(&self) -> u64 {
-        self.file_len
+        self.file.file_len()
     }
 
     /// Resident pages per cache shard.
     pub fn cache_occupancy(&self) -> Vec<usize> {
-        self.cache.occupancy()
+        self.file.cache().occupancy()
     }
 
     /// Total page capacity of the cache.
     pub fn cache_capacity(&self) -> usize {
-        self.cache.capacity()
+        self.file.cache().capacity()
     }
 
     /// Drops every cached page; the next read starts cold.
     pub fn clear_cache(&self) {
-        self.cache.clear();
+        self.file.cache().clear();
     }
 
     fn corrupt(&self, reason: String) -> StoreError {
         StoreError::CorruptGraph {
-            path: self.path.clone(),
+            path: self.path().to_path_buf(),
             reason,
         }
     }
@@ -446,157 +432,24 @@ impl SharedCsrFile {
         }
     }
 
-    /// The distinct pages backing `ranges`, ascending with runs merged
-    /// — the plan the read path resolves, exposed for the ISP tier's
-    /// timing model. Pure address arithmetic.
-    pub(crate) fn plan_pages_for(&self, ranges: &[ByteRange]) -> Vec<u64> {
-        let pb = self.opts.page_bytes;
-        let mut pages = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            if let Some((first, last)) = range.blocks(pb) {
-                pages.extend(first..=last);
-            }
-        }
-        let mut plan = Vec::with_capacity(pages.len());
-        for run in merge_page_runs(&pages) {
-            plan.extend(run.first..run.end());
-        }
-        plan
-    }
-
-    /// Submits one positioned read per missing page stretch as a
-    /// single engine batch; results come back in submission order (see
-    /// [`SharedFileStore`](crate::SharedFileStore)'s identical helper).
-    /// Successful stretches count into `io`; a failed stretch
-    /// surfaces as its `Err` slot and counts nothing.
-    fn fetch_runs(
-        &self,
-        runs: &[(u64, u64)],
-        io: &mut StoreStats,
-    ) -> Vec<Result<Vec<Arc<[u8]>>, std::io::Error>> {
-        if runs.is_empty() {
-            return Vec::new();
-        }
-        let pb = self.opts.page_bytes;
-        let requests = runs
-            .iter()
-            .map(|&(first, count)| {
-                let start = first * pb;
-                ReadRequest {
-                    source: self.source.clone(),
-                    offset: start,
-                    len: (count * pb).min(self.file_len - start) as usize,
-                }
-            })
-            .collect();
-        let results = self.engine.submit(requests).wait();
-        runs.iter()
-            .zip(results)
-            .map(|(&(_, count), result)| {
-                let buf = result?;
-                io.pages_read += count;
-                io.page_misses += count;
-                io.bytes_read += buf.len() as u64;
-                // Host-path split (Fig 10(a)): every page read from
-                // media crosses the host link whole. The ISP topology
-                // tier re-scopes the host side of this split after the
-                // fact.
-                io.device_bytes_read += buf.len() as u64;
-                io.host_bytes_transferred += buf.len() as u64;
-                Ok(buf.chunks(pb as usize).map(Arc::from).collect())
-            })
-            .collect()
-    }
-
     /// Resolves `ranges` (each one or two u64 entries) to their LE
-    /// values through the page cache: plan, coalesce, classify + fetch,
-    /// assemble — the same discipline as the feature read path.
+    /// values through the paged-read core.
     fn read_entries(
         &self,
         ranges: &[ByteRange],
         io: &mut StoreStats,
     ) -> Result<Vec<u64>, StoreError> {
-        let pb = self.opts.page_bytes;
-        let mut pages = Vec::with_capacity(ranges.len());
-        for range in ranges {
-            if let Some((first, last)) = range.blocks(pb) {
-                pages.extend(first..=last);
-            }
-        }
-        let runs = merge_page_runs(&pages);
-        // Classify: resident pages are hits (promoted now, staged as
-        // cheap Arc clones so eviction in an undersized cache cannot
-        // disturb assembly); each maximal stretch of missing pages
-        // becomes one positioned read.
-        let mut staged: HashMap<u64, Arc<[u8]>> = HashMap::new();
-        let mut miss_runs: Vec<(u64, u64)> = Vec::new();
-        for run in &runs {
-            let mut p = run.first;
-            while p < run.end() {
-                if let Some(buf) = self.cache.get(p) {
-                    io.page_hits += 1;
-                    staged.insert(p, buf);
-                    p += 1;
-                    continue;
-                }
-                let mut q = p + 1;
-                while q < run.end() && !self.cache.contains(q) {
-                    q += 1;
-                }
-                miss_runs.push((p, q - p));
-                p = q;
-            }
-        }
-        // Fetch: the whole miss plan goes to the read engine as one
-        // batch; order-preserving completion keeps staging and the
-        // ascending cache commit identical to the serial path.
-        let mut fetched: Vec<(u64, Arc<[u8]>)> = Vec::new();
-        for (&(first, _), result) in miss_runs.iter().zip(self.fetch_runs(&miss_runs, io)) {
-            let pages = result.map_err(|source| StoreError::Io {
-                path: self.path.clone(),
-                action: "read run",
-                source,
-            })?;
-            for (i, page_buf) in pages.into_iter().enumerate() {
-                staged.insert(first + i as u64, Arc::clone(&page_buf));
-                fetched.push((first + i as u64, page_buf));
-            }
-        }
-        // Assemble each entry from the staged pages (an entry may
-        // straddle a page boundary under odd page sizes).
+        let pages = self.file.read(ranges, io)?;
         let mut out = Vec::with_capacity(ranges.len() * 2);
-        let mut entry = [0u8; 8];
-        for range in ranges {
-            let mut at = range.offset;
-            while at < range.offset + range.len {
-                let hi = (at + GRAPH_ENTRY_BYTES).min(range.offset + range.len);
-                debug_assert_eq!(hi - at, GRAPH_ENTRY_BYTES, "ranges are whole entries");
-                let (first, last) = ByteRange {
-                    offset: at,
-                    len: GRAPH_ENTRY_BYTES,
-                }
-                .blocks(pb)
-                // ssl::allow(SSL001): GRAPH_ENTRY_BYTES is a nonzero
-                // constant, so blocks() cannot return None.
-                .expect("entries are non-empty");
-                for page in first..=last {
-                    let page_start = page * pb;
-                    // ssl::allow(SSL001): the staging pass above
-                    // inserted every page of every planned run.
-                    let src = staged.get(&page).expect("planned page is staged");
-                    let lo = at.max(page_start);
-                    let end = hi.min(page_start + src.len() as u64);
-                    entry[(lo - at) as usize..(end - at) as usize].copy_from_slice(
-                        &src[(lo - page_start) as usize..(end - page_start) as usize],
-                    );
-                }
-                out.push(u64::from_le_bytes(entry));
-                at = hi;
+        let mut buf = Vec::new();
+        for &range in ranges {
+            buf.resize(range.len as usize, 0);
+            pages.copy_range(range, &mut buf);
+            for entry in buf.chunks_exact(GRAPH_ENTRY_BYTES as usize) {
+                // ssl::allow(SSL001): chunks_exact(8) yields 8-byte
+                // slices by construction.
+                out.push(u64::from_le_bytes(entry.try_into().expect("8 bytes")));
             }
-        }
-        // Commit fetched pages to the cache in ascending page order.
-        for (page, buf) in fetched {
-            self.cache.insert(page, buf);
         }
         Ok(out)
     }
@@ -710,43 +563,12 @@ impl SharedCsrFile {
     /// swallowed — the demand path surfaces real failures with full
     /// context.
     pub fn prefetch_offsets(&self, nodes: &[NodeId]) {
-        let pb = self.opts.page_bytes;
-        let mut pages = Vec::with_capacity(nodes.len());
-        for &node in nodes {
-            if node.index() >= self.num_nodes {
-                continue;
-            }
-            if let Some((first, last)) = self.offset_pair_range(node).blocks(pb) {
-                pages.extend(first..=last);
-            }
-        }
-        let mut io = StoreStats::default();
-        let mut miss_runs: Vec<(u64, u64)> = Vec::new();
-        for run in merge_page_runs(&pages) {
-            let mut p = run.first;
-            while p < run.end() {
-                if self.cache.contains(p) {
-                    p += 1;
-                    continue;
-                }
-                let mut q = p + 1;
-                while q < run.end() && !self.cache.contains(q) {
-                    q += 1;
-                }
-                miss_runs.push((p, q - p));
-                p = q;
-            }
-        }
-        // One engine batch for the whole advisory plan; failed
-        // stretches are skipped (and uncounted) so prefetch_stats
-        // always explains every resident page.
-        for (&(first, _), result) in miss_runs.iter().zip(self.fetch_runs(&miss_runs, &mut io)) {
-            let Ok(bufs) = result else { continue };
-            for (i, buf) in bufs.into_iter().enumerate() {
-                self.cache.insert(first + i as u64, buf);
-            }
-        }
-        self.prefetch.add(&io);
+        let ranges: Vec<ByteRange> = nodes
+            .iter()
+            .filter(|node| node.index() < self.num_nodes)
+            .map(|&node| self.offset_pair_range(node))
+            .collect();
+        self.file.warm(&ranges, &self.prefetch);
     }
 
     /// I/O performed by background offset prefetches so far (never
@@ -758,22 +580,22 @@ impl SharedCsrFile {
     /// The page plan of an offset-pair batch (for the ISP timing
     /// model): the same distinct, run-merged pages
     /// [`SharedCsrFile::offset_pairs`] resolves.
-    pub(crate) fn plan_offset_pages(&self, nodes: &[NodeId]) -> Vec<u64> {
+    pub(crate) fn plan_offset_pages(&self, nodes: &[NodeId]) -> Vec<PageRun> {
         let ranges: Vec<ByteRange> = nodes.iter().map(|&n| self.offset_pair_range(n)).collect();
-        self.plan_pages_for(&ranges)
+        self.file.plan(&ranges)
     }
 
     /// The combined device page plan of one pick batch — every
     /// offset-pair and edge-entry page the picks touch, run-merged in
     /// a single pass (the ISP tier's timing-model input after
     /// [`SharedCsrFile::resolve_picks`]).
-    pub(crate) fn plan_pick_pages(&self, picks: &[(NodeId, u64)], edges: &[u64]) -> Vec<u64> {
+    pub(crate) fn plan_pick_pages(&self, picks: &[(NodeId, u64)], edges: &[u64]) -> Vec<PageRun> {
         let mut ranges: Vec<ByteRange> = picks
             .iter()
             .map(|&(n, _)| self.offset_pair_range(n))
             .collect();
         ranges.extend(edges.iter().map(|&e| self.edge_entry_range(e)));
-        self.plan_pages_for(&ranges)
+        self.file.plan(&ranges)
     }
 }
 

@@ -1,9 +1,9 @@
 //! The in-storage-processing feature store: gathers resolve inside the
 //! (modeled) SSD, and only packed feature rows cross the host link.
 //!
-//! [`crate::FileStore`] and [`crate::SharedFileStore`] are Fig 10(a)
-//! systems: every page a gather touches is fetched from the device and
-//! shipped to the host *whole*, so SSD→host traffic is page-amplified
+//! [`crate::SharedFileStore`] is a Fig 10(a) system: every page a
+//! gather touches is fetched from the device and shipped to the host
+//! *whole*, so SSD→host traffic is page-amplified
 //! relative to the payload. SmartSAGE's headline mechanism (paper §IV,
 //! Fig 10(b)) moves the gather into the device: firmware reads the
 //! pages from flash into the SSD's DRAM page buffer, picks the feature
@@ -52,7 +52,7 @@ use crate::file::FileStoreOptions;
 use crate::shared::SharedFileStore;
 use crate::{FeatureStore, StoreStats};
 use smartsage_graph::NodeId;
-use smartsage_hostio::{LockExt, LruSet};
+use smartsage_hostio::{LockExt, LruSet, PageRun};
 use smartsage_sim::{SimDuration, SimTime};
 use smartsage_storage::{Ssd, SsdParams};
 use std::collections::{HashMap, VecDeque};
@@ -273,7 +273,7 @@ impl IspGatherStore {
     }
 
     /// Costs one gather against the device model; see [`cost_isp_pass`].
-    fn cost_gather(&mut self, pages: &[u64], rows: u64, payload_bytes: u64) -> SimDuration {
+    fn cost_gather(&mut self, pages: &[PageRun], rows: u64, payload_bytes: u64) -> SimDuration {
         cost_isp_pass(
             &mut self.ssd,
             &mut self.clock,
@@ -299,7 +299,7 @@ pub(crate) fn cost_isp_pass(
     clock: &mut SimTime,
     queue_depth: usize,
     pack_cost_per_row: SimDuration,
-    pages: &[u64],
+    pages: &[PageRun],
     rows: u64,
     payload_bytes: u64,
 ) -> SimDuration {
@@ -312,7 +312,7 @@ pub(crate) fn cost_isp_pass(
     // one once the window is full.
     let mut inflight: VecDeque<SimTime> = VecDeque::with_capacity(queue_depth);
     let mut ready = t;
-    for &lpn in pages {
+    for lpn in pages.iter().flat_map(|run| run.first..run.end()) {
         let issue = if inflight.len() >= queue_depth {
             inflight.pop_front().expect("window is full").max(t)
         } else {
@@ -407,7 +407,7 @@ impl FeatureStore for IspGatherStore {
             // The missing rows' distinct pages (the same plan the
             // shared store just resolved) drive the timing model's
             // FTL/flash/buffer sequence.
-            let plan = self.shared.plan_pages(&missing)?;
+            let plan = self.shared.plan_rows(&missing)?;
             let shipped = missing.len() as u64 * dim as u64 * 4;
             let busy = self.cost_gather(&plan, missing.len() as u64, shipped);
             self.device_time += busy;
@@ -457,7 +457,7 @@ impl FeatureStore for IspGatherStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{write_feature_file, FileStore, InMemoryStore, ScratchFile};
+    use crate::{write_feature_file, InMemoryStore, ScratchFile, StoreHandle};
     use smartsage_graph::FeatureTable;
 
     fn write_table(tag: &str, dim: usize, nodes: usize) -> (ScratchFile, FeatureTable) {
@@ -509,7 +509,8 @@ mod tests {
     fn host_bytes_stay_strictly_below_the_file_store_host_path() {
         let (path, _) = write_table("isp-vs-file", 8, 1024);
         let mut isp = IspGatherStore::open(path.path()).unwrap();
-        let mut file = FileStore::open(path.path()).unwrap();
+        let shared = SharedFileStore::open_with(path.path(), FileStoreOptions::default(), 1);
+        let mut file = StoreHandle::new(Arc::new(shared.unwrap()));
         let nodes: Vec<NodeId> = (0..8u32).map(|i| NodeId::new(i * 128)).collect();
         isp.gather(&nodes).unwrap();
         file.gather(&nodes).unwrap();

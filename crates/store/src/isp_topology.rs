@@ -42,6 +42,7 @@ use crate::isp::{cost_isp_pass, IspGatherOptions};
 use crate::topology::{check_out_len, TopologyStore};
 use crate::StoreStats;
 use smartsage_graph::NodeId;
+use smartsage_hostio::PageRun;
 use smartsage_sim::{SimDuration, SimTime};
 use smartsage_storage::Ssd;
 use std::path::Path;
@@ -149,7 +150,7 @@ impl IspSampleTopology {
     fn finish_pass(
         &mut self,
         mut io: StoreStats,
-        pages: &[u64],
+        pages: &[PageRun],
         rows: u64,
         shipped: u64,
     ) -> StoreStats {

@@ -139,6 +139,14 @@ mod tests {
     }
 
     #[test]
+    fn failed_gathers_do_not_count() {
+        let mut store = InMemoryStore::new(FeatureTable::new(8, 4, 1), 100);
+        assert!(store.gather(&[NodeId::new(100)]).is_err());
+        assert_eq!(store.stats().gathers, 0);
+        assert_eq!(store.stats().nodes_gathered, 0);
+    }
+
+    #[test]
     fn bad_buffer_is_rejected() {
         let mut store = InMemoryStore::unbounded(FeatureTable::new(4, 2, 0));
         let mut buf = vec![0.0; 3];

@@ -73,24 +73,6 @@ impl AtomicStoreStats {
             device_ns: self.device_ns.load(Ordering::Relaxed),
         }
     }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        for c in [
-            &self.gathers,
-            &self.nodes_gathered,
-            &self.feature_bytes,
-            &self.pages_read,
-            &self.bytes_read,
-            &self.page_hits,
-            &self.page_misses,
-            &self.device_bytes_read,
-            &self.host_bytes_transferred,
-            &self.device_ns,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +107,5 @@ mod tests {
         let got = acc.snapshot();
         assert_eq!(got.gathers, 800);
         assert_eq!(got.page_misses, 5600);
-        acc.reset();
-        assert_eq!(acc.snapshot(), StoreStats::default());
     }
 }

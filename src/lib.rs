@@ -70,8 +70,10 @@
 //! ```
 //! use smartsage::graph::{FeatureTable, NodeId};
 //! use smartsage::store::{
-//!     write_feature_file, FeatureStore, FileStore, InMemoryStore, IspGatherStore, ScratchFile,
+//!     write_feature_file, FeatureStore, InMemoryStore, IspGatherStore, ScratchFile,
+//!     SharedFileStore, StoreHandle,
 //! };
+//! use std::sync::Arc;
 //!
 //! // Publish 2048 nodes of 8-dim features (32-byte rows) to disk.
 //! let table = FeatureTable::new(8, 4, 7);
@@ -81,7 +83,7 @@
 //! // A scattered gather: one requested row per 4 KiB page.
 //! let nodes: Vec<NodeId> = (0..16u32).map(|i| NodeId::new(i * 128)).collect();
 //! let mut mem = InMemoryStore::new(table, 2048);
-//! let mut disk = FileStore::open(file.path()).unwrap();
+//! let mut disk = StoreHandle::new(Arc::new(SharedFileStore::open(file.path()).unwrap()));
 //! let mut isp = IspGatherStore::open(file.path()).unwrap();
 //!
 //! let want = mem.gather(&nodes).unwrap();
