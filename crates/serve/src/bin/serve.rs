@@ -100,6 +100,14 @@ fn main() {
                 .unwrap_or_else(|_| fail_usage(&format!("{flag} wants an integer, got '{v}'")))
         })
     };
+    // Sizes the engine, batcher or HTTP pool cannot run with are usage
+    // errors, never panics further in.
+    let positive = |flag: &str, default: u64| -> u64 {
+        match parse(flag, default) {
+            0 => fail_usage(&format!("{flag} must be positive, got 0")),
+            v => v,
+        }
+    };
     let store = match value_of("--store").unwrap_or("mem") {
         "mem" => StoreKind::Mem,
         "file" => StoreKind::File,
@@ -124,17 +132,17 @@ fn main() {
             }
         }
     };
-    let avg_degree: f64 = value_of("--avg-degree").map_or(12.0, |v| {
-        v.parse()
-            .unwrap_or_else(|_| fail_usage(&format!("--avg-degree wants a number, got '{v}'")))
+    let avg_degree: f64 = value_of("--avg-degree").map_or(12.0, |v| match v.parse() {
+        Ok(f) if f64::is_finite(f) && f > 0.0 => f,
+        _ => fail_usage(&format!("--avg-degree wants a positive number, got '{v}'")),
     });
     let config = EngineConfig {
         dataset: DatasetConfig {
-            nodes: parse("--nodes", 4096) as usize,
+            nodes: positive("--nodes", 4096) as usize,
             avg_degree,
             graph_seed: 42,
-            feature_dim: parse("--dim", 32) as usize,
-            classes: parse("--classes", 8) as usize,
+            feature_dim: positive("--dim", 32) as usize,
+            classes: positive("--classes", 8) as usize,
             feature_seed: 7,
         },
         store,
@@ -144,15 +152,15 @@ fn main() {
         model_seed: parse("--seed", 1234),
         page_bytes: parse("--page-bytes", 4096),
         cache_pages: parse("--cache-pages", 1024) as usize,
-        shards: parse("--shards", 1).max(1) as usize,
+        shards: positive("--shards", 1) as usize,
     };
     let policy = BatchPolicy {
         window: Duration::from_micros(parse("--window-us", 2000)),
-        max_batch: parse("--max-batch", 64) as usize,
-        queue_depth: parse("--queue-depth", 256) as usize,
+        max_batch: positive("--max-batch", 64) as usize,
+        queue_depth: positive("--queue-depth", 256) as usize,
     };
     let options = HttpOptions {
-        workers: parse("--workers", 16) as usize,
+        workers: positive("--workers", 16) as usize,
         max_body_bytes: parse("--max-body-bytes", 1 << 20) as usize,
     };
     let bind = format!(

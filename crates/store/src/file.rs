@@ -65,38 +65,14 @@ impl Default for FileStoreOptions {
 }
 
 /// Serializes `table`'s first `num_nodes` rows to `path` in the layout
-/// above. Overwrites any existing file.
+/// above — the 1-way shard, so [`write_feature_shard`] writes the same
+/// bytes. Overwrites any existing file.
 pub fn write_feature_file(
     path: &Path,
     table: &FeatureTable,
     num_nodes: usize,
 ) -> Result<(), StoreError> {
-    let io_err = |action: &'static str| {
-        move |source: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            action,
-            source,
-        }
-    };
-    let file = File::create(path).map_err(io_err("create"))?;
-    let mut w = BufWriter::new(file);
-    let mut header = [0u8; HEADER_BYTES as usize];
-    header[0..8].copy_from_slice(&FEATURE_FILE_MAGIC);
-    header[8..16].copy_from_slice(&(table.dim() as u64).to_le_bytes());
-    header[16..24].copy_from_slice(&(num_nodes as u64).to_le_bytes());
-    header[24..32].copy_from_slice(&(table.num_classes() as u64).to_le_bytes());
-    w.write_all(&header).map_err(io_err("write header"))?;
-    let mut row = vec![0.0f32; table.dim()];
-    let mut bytes = vec![0u8; table.dim() * 4];
-    for i in 0..num_nodes {
-        table.features_into(NodeId::new(i as u32), &mut row);
-        for (chunk, v) in bytes.chunks_exact_mut(4).zip(&row) {
-            chunk.copy_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(&bytes).map_err(io_err("write row"))?;
-    }
-    w.flush().map_err(io_err("flush"))?;
-    Ok(())
+    write_feature_shard(path, table, 0, num_nodes)
 }
 
 /// Serializes the rows of the global node range `start..end` of

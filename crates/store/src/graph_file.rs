@@ -75,41 +75,11 @@ pub fn graph_file_len(num_nodes: u64, num_edges: u64) -> u64 {
     edge_array_base(num_nodes) + num_edges * GRAPH_ENTRY_BYTES
 }
 
-/// Serializes `graph` to `path` in the layout above. Overwrites any
-/// existing file.
+/// Serializes `graph` to `path` in the layout above — the 1-way
+/// shard, so [`write_graph_shard`] writes the same bytes. Overwrites
+/// any existing file.
 pub fn write_graph_file(path: &Path, graph: &CsrGraph) -> Result<(), StoreError> {
-    let io_err = |action: &'static str| {
-        move |source: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            action,
-            source,
-        }
-    };
-    let file = File::create(path).map_err(io_err("create"))?;
-    let mut w = BufWriter::new(file);
-    let n = graph.num_nodes() as u64;
-    let mut header = [0u8; GRAPH_HEADER_BYTES as usize];
-    header[0..8].copy_from_slice(&GRAPH_FILE_MAGIC);
-    header[8..16].copy_from_slice(&n.to_le_bytes());
-    header[16..24].copy_from_slice(&graph.num_edges().to_le_bytes());
-    w.write_all(&header).map_err(io_err("write header"))?;
-    for node in graph.node_ids() {
-        w.write_all(&graph.edge_list_start(node).to_le_bytes())
-            .map_err(io_err("write offsets"))?;
-    }
-    w.write_all(&graph.num_edges().to_le_bytes())
-        .map_err(io_err("write offsets"))?;
-    let pad = edge_array_base(n) - (GRAPH_HEADER_BYTES + (n + 1) * GRAPH_ENTRY_BYTES);
-    w.write_all(&vec![0u8; pad as usize])
-        .map_err(io_err("write padding"))?;
-    for node in graph.node_ids() {
-        for &t in graph.neighbors(node) {
-            w.write_all(&(t.raw() as u64).to_le_bytes())
-                .map_err(io_err("write edges"))?;
-        }
-    }
-    w.flush().map_err(io_err("flush"))?;
-    Ok(())
+    write_graph_shard(path, graph, 0, graph.num_nodes())
 }
 
 /// Serializes the edge lists of the global node range `start..end` of
@@ -311,7 +281,7 @@ fn read_exact_at(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()
 /// state.
 #[derive(Debug)]
 pub struct SharedCsrFile {
-    file: PagedFile,
+    pub(crate) file: PagedFile,
     num_nodes: usize,
     num_edges: u64,
     edge_base: u64,

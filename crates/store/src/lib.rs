@@ -89,7 +89,7 @@ pub use isp::{IspGatherOptions, IspGatherStore};
 pub use isp_topology::IspSampleTopology;
 pub use mem::InMemoryStore;
 pub use registry::{
-    remove_cached_feature_files, sweep_stale_tmp_files, StoreOccupancy, StoreRegistry,
+    remove_cached_feature_files, sweep_stale_tmp_files, StoreOccupancy, StoreRegistry, Tiers,
 };
 pub use scratch::ScratchFile;
 pub use sharded::{

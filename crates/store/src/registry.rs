@@ -1,12 +1,21 @@
-//! The store registry: each content-keyed feature file is opened once
+//! The store registry: each content-keyed dataset file is opened once
 //! per registry and shared by every caller.
 //!
 //! Feature bytes are a pure function of `(dim, num_classes, seed,
-//! num_nodes)`, so the registry names files by that **content key** in
-//! the OS temp directory and deduplicates opens: the first caller
+//! num_nodes)` and graph bytes of the CSR content, so the registry
+//! names files by that **content key** in the OS temp directory and
+//! deduplicates opens. Every open — feature or graph, any partition
+//! width — runs through one publish core: the first caller of a key
 //! publishes (write to a private temp name, then an atomic rename) and
 //! opens; everyone else gets an `Arc` clone of the same
-//! [`SharedFileStore`] — one file descriptor, one sharded page cache.
+//! [`SharedFileStore`] or [`SharedCsrFile`] — one file descriptor, one
+//! sharded page cache.
+//!
+//! A `k`-way partition publishes one file per shard. Shard keys carry a
+//! `-p<i>of<k>` suffix for `k ≥ 2`; the 1-way partition *is* the
+//! unsharded file, so an unsharded open and a 1-shard open share one
+//! key, one file and one registry entry. [`StoreRegistry::open_tiers`]
+//! builds a run's feature and topology tiers over those files.
 //!
 //! There are two kinds of registry:
 //!
@@ -32,10 +41,17 @@
 //! cannot be checked).
 
 use crate::error::StoreError;
-use crate::file::{write_feature_file, write_feature_shard, FileStoreOptions};
-use crate::graph_file::{write_graph_file, write_graph_shard, SharedCsrFile};
-use crate::sharded::shard_ranges;
+use crate::file::{write_feature_shard, FileStoreOptions};
+use crate::graph_file::{write_graph_shard, SharedCsrFile};
+use crate::isp::{IspGatherOptions, IspGatherStore};
+use crate::isp_topology::IspSampleTopology;
+use crate::paged::PagedFile;
+use crate::sharded::{
+    check_sharded_population, shard_ranges, table_slices, ShardedFeatureStore, ShardedTopology,
+};
 use crate::shared::{SharedFileStore, DEFAULT_CACHE_SHARDS};
+use crate::topology::{FileTopology, InMemoryTopology, TopologyKind, TopologyStore};
+use crate::{FeatureStore, StoreHandle, StoreKind, StoreStats};
 use smartsage_graph::{CsrGraph, FeatureTable};
 use smartsage_hostio::LockExt;
 use std::collections::BTreeMap;
@@ -57,7 +73,7 @@ const TMP_MARKER: &str = ".tmp-";
 /// Occupancy snapshot of one registered store, for reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StoreOccupancy {
-    /// The backing feature file.
+    /// The backing feature or graph file.
     pub path: PathBuf,
     /// Resident pages per cache shard, in shard order.
     pub shard_pages: Vec<usize>,
@@ -77,13 +93,66 @@ impl StoreOccupancy {
     }
 }
 
+/// A run's two store tiers, opened by [`StoreRegistry::open_tiers`].
+#[derive(Debug)]
+pub struct Tiers {
+    /// The feature tier: the single member store at one shard, a
+    /// [`ShardedFeatureStore`] over one member per device above that.
+    pub store: Box<dyn FeatureStore + Send>,
+    /// The topology tier, built the same way ([`ShardedTopology`]
+    /// above one shard).
+    pub topology: Box<dyn TopologyStore + Send>,
+    /// The shared feature files in shard order (empty on the mem tier).
+    pub feature_files: Vec<Arc<SharedFileStore>>,
+    /// The shared graph files in shard order (empty on the mem tier).
+    pub graph_files: Vec<Arc<SharedCsrFile>>,
+}
+
+/// A file kind the registry publishes and shares: the feature file
+/// or the graph file.
+trait Published: Sized {
+    /// Opens and validates an existing file.
+    fn open(path: &Path, opts: FileStoreOptions) -> Result<Self, StoreError>;
+    /// The paged-read core under the decoder.
+    fn paged(&self) -> &PagedFile;
+    /// I/O done by background read-ahead so far.
+    fn prefetched(&self) -> StoreStats;
+}
+
+impl Published for SharedFileStore {
+    fn open(path: &Path, opts: FileStoreOptions) -> Result<Self, StoreError> {
+        SharedFileStore::open_with(path, opts, DEFAULT_CACHE_SHARDS)
+    }
+    fn paged(&self) -> &PagedFile {
+        &self.file
+    }
+    fn prefetched(&self) -> StoreStats {
+        self.prefetch_stats()
+    }
+}
+
+impl Published for SharedCsrFile {
+    fn open(path: &Path, opts: FileStoreOptions) -> Result<Self, StoreError> {
+        SharedCsrFile::open_with(path, opts, DEFAULT_CACHE_SHARDS)
+    }
+    fn paged(&self) -> &PagedFile {
+        &self.file
+    }
+    fn prefetched(&self) -> StoreStats {
+        self.prefetch_stats()
+    }
+}
+
 /// One content key's slot: the per-key lock serializes publication of
 /// *this* file only, so a multi-MB serialize of one key never blocks
 /// opens of already-published keys on other sweep threads.
-type Slot = Arc<Mutex<Option<Arc<SharedFileStore>>>>;
+type Slot<F> = Arc<Mutex<Option<Arc<F>>>>;
 
-/// One graph content key's slot (same per-key discipline).
-type GraphSlot = Arc<Mutex<Option<Arc<SharedCsrFile>>>>;
+/// The slots of one file kind, by content-keyed path. BTreeMap, not
+/// HashMap: occupancy() and close_all() iterate it, and registry
+/// output feeds reports — iteration order must be a function of the
+/// keys alone (SSL002).
+type Slots<F> = Mutex<BTreeMap<PathBuf, Slot<F>>>;
 
 /// Deduplicates [`SharedFileStore`] and [`SharedCsrFile`] opens by
 /// content-keyed path — one registry serves both halves of the
@@ -91,11 +160,8 @@ type GraphSlot = Arc<Mutex<Option<Arc<SharedCsrFile>>>>;
 /// file and one page cache per key on each axis.
 #[derive(Debug, Default)]
 pub struct StoreRegistry {
-    // BTreeMap, not HashMap: occupancy() and close_all() iterate these
-    // maps, and registry output feeds reports — iteration order must
-    // be a function of the keys alone (SSL002).
-    entries: Mutex<BTreeMap<PathBuf, Slot>>,
-    graph_entries: Mutex<BTreeMap<PathBuf, GraphSlot>>,
+    features: Slots<SharedFileStore>,
+    graphs: Slots<SharedCsrFile>,
 }
 
 impl StoreRegistry {
@@ -113,90 +179,10 @@ impl StoreRegistry {
         GLOBAL.get_or_init(StoreRegistry::new)
     }
 
-    /// The content-keyed path for `table`'s first `num_nodes` rows.
+    /// The content-keyed path for `table`'s first `num_nodes` rows —
+    /// the unsharded feature file, which is also the 1-way partition.
     pub fn content_key_path(table: &FeatureTable, num_nodes: usize) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "{FILE_PREFIX}n{num_nodes}-d{}-c{}-s{:x}.fbin",
-            table.dim(),
-            table.num_classes(),
-            table.seed(),
-        ))
-    }
-
-    /// Opens (publishing first if needed) the shared store for
-    /// `table`'s first `num_nodes` rows. The first call for a content
-    /// key does the work; every later call returns the same `Arc`.
-    ///
-    /// An existing on-disk file is revalidated through the usual
-    /// magic/header/length checks; anything stale or foreign is
-    /// replaced via write-to-temporary + atomic rename (sweeping any
-    /// orphaned temporaries it finds next to it). Requesting a key
-    /// that is already open with *different* options fails with
-    /// [`StoreError::OptionsConflict`] rather than silently serving
-    /// someone else's geometry.
-    pub fn open_feature_table(
-        &self,
-        table: &FeatureTable,
-        num_nodes: usize,
-        opts: FileStoreOptions,
-    ) -> Result<Arc<SharedFileStore>, StoreError> {
-        let path = StoreRegistry::content_key_path(table, num_nodes);
-        // Two-level locking: the map lock is held only long enough to
-        // fetch/create this key's slot; serialization (a multi-MB
-        // write) happens under the per-key slot lock, so opens of
-        // other keys proceed concurrently.
-        let slot: Slot = {
-            let mut entries = self.entries.safe_lock();
-            Arc::clone(entries.entry(path.clone()).or_default())
-        };
-        let mut guard = slot.safe_lock();
-        if let Some(existing) = guard.as_ref() {
-            // Never hand a caller a store with a different geometry
-            // than it asked for — its I/O accounting would silently be
-            // computed against someone else's page size and capacity.
-            if existing.options() != opts {
-                return Err(StoreError::OptionsConflict {
-                    path,
-                    requested: opts,
-                    open: existing.options(),
-                });
-            }
-            return Ok(Arc::clone(existing));
-        }
-        // First open of this key in this registry. The slot lock
-        // serializes publication, so concurrent sweep threads wanting
-        // the same table cannot both serialize it.
-        let matches = |s: &SharedFileStore| {
-            s.dim() == table.dim()
-                && s.num_nodes() == num_nodes
-                && s.num_classes() == table.num_classes()
-        };
-        let store = match SharedFileStore::open_with(&path, opts, DEFAULT_CACHE_SHARDS) {
-            Ok(store) if matches(&store) => store,
-            _ => {
-                // ssl::allow(SSL004): publish-temporary sequence
-                // number — names files, never read as a statistic.
-                static SEQ: AtomicU64 = AtomicU64::new(0);
-                if let Some(dir) = path.parent() {
-                    sweep_stale_tmp_files(dir);
-                }
-                let tmp = path.with_extension(format!(
-                    "tmp-{}-{}",
-                    std::process::id(),
-                    SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                write_feature_file(&tmp, table, num_nodes)?;
-                std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-                    path: path.clone(),
-                    action: "publish",
-                    source,
-                })?;
-                SharedFileStore::open_with(&path, opts, DEFAULT_CACHE_SHARDS)?
-            }
-        };
-        let store = Arc::new(store);
-        *guard = Some(Arc::clone(&store));
-        Ok(store)
+        StoreRegistry::feature_shard_key_path(table, num_nodes, 0, 1)
     }
 
     /// The content-keyed path for `graph`'s topology file: node/edge
@@ -206,19 +192,15 @@ impl StoreRegistry {
     /// materialization that produced the graph, paid once per
     /// `open_graph_csr` (a per-run cost, like materialization itself).
     pub fn graph_content_key_path(graph: &CsrGraph) -> PathBuf {
-        std::env::temp_dir().join(format!(
-            "{GRAPH_PREFIX}n{}-e{}-h{:016x}.gbin",
-            graph.num_nodes(),
-            graph.num_edges(),
-            graph_fingerprint(graph),
-        ))
+        StoreRegistry::graph_shard_key_path(graph, 0, 1)
     }
 
     /// The content-keyed path for shard `shard` of a `shards`-way
-    /// feature partition of `table`'s first `num_nodes` rows. The key
-    /// extends [`StoreRegistry::content_key_path`] with a `-p{i}of{k}`
-    /// suffix, so every partition width publishes its own immutable
-    /// file set and shard files never collide with the unsharded file.
+    /// feature partition of `table`'s first `num_nodes` rows. For
+    /// `shards ≥ 2` the key extends [`StoreRegistry::content_key_path`]
+    /// with a `-p{i}of{k}` suffix, so every partition width publishes
+    /// its own immutable file set; the 1-way partition is the
+    /// unsharded file itself.
     pub fn feature_shard_key_path(
         table: &FeatureTable,
         num_nodes: usize,
@@ -226,10 +208,11 @@ impl StoreRegistry {
         shards: usize,
     ) -> PathBuf {
         std::env::temp_dir().join(format!(
-            "{FILE_PREFIX}n{num_nodes}-d{}-c{}-s{:x}-p{shard}of{shards}.fbin",
+            "{FILE_PREFIX}n{num_nodes}-d{}-c{}-s{:x}{}.fbin",
             table.dim(),
             table.num_classes(),
             table.seed(),
+            partition_suffix(shard, shards),
         ))
     }
 
@@ -238,19 +221,42 @@ impl StoreRegistry {
     /// [`StoreRegistry::feature_shard_key_path`].
     pub fn graph_shard_key_path(graph: &CsrGraph, shard: usize, shards: usize) -> PathBuf {
         std::env::temp_dir().join(format!(
-            "{GRAPH_PREFIX}n{}-e{}-h{:016x}-p{shard}of{shards}.gbin",
+            "{GRAPH_PREFIX}n{}-e{}-h{:016x}{}.gbin",
             graph.num_nodes(),
             graph.num_edges(),
             graph_fingerprint(graph),
+            partition_suffix(shard, shards),
         ))
     }
 
+    /// Opens (publishing first if needed) the shared store for
+    /// `table`'s first `num_nodes` rows: the 1-way case of
+    /// [`StoreRegistry::open_feature_shards`]. The first call for a
+    /// content key does the work; every later call returns the same
+    /// `Arc`.
+    pub fn open_feature_table(
+        &self,
+        table: &FeatureTable,
+        num_nodes: usize,
+        opts: FileStoreOptions,
+    ) -> Result<Arc<SharedFileStore>, StoreError> {
+        Ok(self
+            .open_feature_shards(table, num_nodes, 1, opts)?
+            .remove(0))
+    }
+
     /// Opens (publishing first if needed) the `shards`-way feature
-    /// partition of `table`'s first `num_nodes` rows: one shard file
-    /// per contiguous [`shard_ranges`] range, each holding its range's
-    /// rows at local indices, each deduplicated under the same per-key
-    /// slot discipline as [`StoreRegistry::open_feature_table`]. The
-    /// returned stores are in shard order.
+    /// partition of `table`'s first `num_nodes` rows: one file per
+    /// contiguous [`shard_ranges`] range, each holding its range's rows
+    /// at local indices. The returned stores are in shard order.
+    ///
+    /// An existing on-disk file is revalidated through the usual
+    /// magic/header/length checks; anything stale or foreign is
+    /// replaced via write-to-temporary + atomic rename (sweeping any
+    /// orphaned temporaries it finds next to it). Requesting a key
+    /// that is already open with *different* options fails with
+    /// [`StoreError::OptionsConflict`] rather than silently serving
+    /// someone else's geometry.
     pub fn open_feature_shards(
         &self,
         table: &FeatureTable,
@@ -258,66 +264,43 @@ impl StoreRegistry {
         shards: usize,
         opts: FileStoreOptions,
     ) -> Result<Vec<Arc<SharedFileStore>>, StoreError> {
-        let ranges = shard_ranges(num_nodes, shards);
-        let mut out = Vec::with_capacity(shards);
-        for (i, &(start, end)) in ranges.iter().enumerate() {
-            let path = StoreRegistry::feature_shard_key_path(table, num_nodes, i, shards);
-            let slot: Slot = {
-                let mut entries = self.entries.safe_lock();
-                Arc::clone(entries.entry(path.clone()).or_default())
-            };
-            let mut guard = slot.safe_lock();
-            if let Some(existing) = guard.as_ref() {
-                if existing.options() != opts {
-                    return Err(StoreError::OptionsConflict {
-                        path,
-                        requested: opts,
-                        open: existing.options(),
-                    });
-                }
-                out.push(Arc::clone(existing));
-                continue;
-            }
-            let rows = end - start;
-            let matches = |s: &SharedFileStore| {
-                s.dim() == table.dim()
-                    && s.num_nodes() == rows
-                    && s.num_classes() == table.num_classes()
-            };
-            let store = match SharedFileStore::open_with(&path, opts, DEFAULT_CACHE_SHARDS) {
-                Ok(store) if matches(&store) => store,
-                _ => {
-                    if let Some(dir) = path.parent() {
-                        sweep_stale_tmp_files(dir);
-                    }
-                    let tmp = path.with_extension(format!(
-                        "tmp-{}-{}",
-                        std::process::id(),
-                        publish_seq()
-                    ));
-                    write_feature_shard(&tmp, table, start, end)?;
-                    std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-                        path: path.clone(),
-                        action: "publish",
-                        source,
-                    })?;
-                    SharedFileStore::open_with(&path, opts, DEFAULT_CACHE_SHARDS)?
-                }
-            };
-            let store = Arc::new(store);
-            *guard = Some(Arc::clone(&store));
-            out.push(store);
-        }
-        Ok(out)
+        shard_ranges(num_nodes, shards)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (start, end))| {
+                let fits = |s: &SharedFileStore| {
+                    s.dim() == table.dim()
+                        && s.num_nodes() == end - start
+                        && s.num_classes() == table.num_classes()
+                };
+                publish(
+                    &self.features,
+                    StoreRegistry::feature_shard_key_path(table, num_nodes, i, shards),
+                    opts,
+                    fits,
+                    |tmp| write_feature_shard(tmp, table, start, end),
+                )
+            })
+            .collect()
+    }
+
+    /// Opens (publishing first if needed) the shared topology file for
+    /// `graph`: the 1-way case of [`StoreRegistry::open_graph_shards`].
+    pub fn open_graph_csr(
+        &self,
+        graph: &CsrGraph,
+        opts: FileStoreOptions,
+    ) -> Result<Arc<SharedCsrFile>, StoreError> {
+        Ok(self.open_graph_shards(graph, 1, opts)?.remove(0))
     }
 
     /// Opens (publishing first if needed) the `shards`-way topology
-    /// partition of `graph`: one shard file per contiguous
-    /// [`shard_ranges`] range, each an `SSGRPH01` file carrying the
-    /// global node count and its own range's edges (see
-    /// [`write_graph_shard`]), deduplicated under the same per-key
-    /// slot discipline as [`StoreRegistry::open_graph_csr`]. The
-    /// returned files are in shard order.
+    /// partition of `graph`: one `SSGRPH01` file per contiguous
+    /// [`shard_ranges`] range, each carrying the global node count and
+    /// its own range's edges (see [`write_graph_shard`]), under the
+    /// same publish discipline as
+    /// [`StoreRegistry::open_feature_shards`]. The returned files are
+    /// in shard order.
     pub fn open_graph_shards(
         &self,
         graph: &CsrGraph,
@@ -325,7 +308,6 @@ impl StoreRegistry {
         opts: FileStoreOptions,
     ) -> Result<Vec<Arc<SharedCsrFile>>, StoreError> {
         let n = graph.num_nodes();
-        let ranges = shard_ranges(n, shards);
         let offset = |i: usize| -> u64 {
             if i == n {
                 graph.num_edges()
@@ -333,145 +315,105 @@ impl StoreRegistry {
                 graph.edge_list_start(smartsage_graph::NodeId::new(i as u32))
             }
         };
-        let mut out = Vec::with_capacity(shards);
-        for (i, &(start, end)) in ranges.iter().enumerate() {
-            let path = StoreRegistry::graph_shard_key_path(graph, i, shards);
-            let slot: GraphSlot = {
-                let mut entries = self.graph_entries.safe_lock();
-                Arc::clone(entries.entry(path.clone()).or_default())
-            };
-            let mut guard = slot.safe_lock();
-            if let Some(existing) = guard.as_ref() {
-                if existing.options() != opts {
-                    return Err(StoreError::OptionsConflict {
-                        path,
-                        requested: opts,
-                        open: existing.options(),
-                    });
-                }
-                out.push(Arc::clone(existing));
-                continue;
-            }
-            let shard_edges = offset(end) - offset(start);
-            let matches = |s: &SharedCsrFile| s.num_nodes() == n && s.num_edges() == shard_edges;
-            let store = match SharedCsrFile::open_with(&path, opts, DEFAULT_CACHE_SHARDS) {
-                Ok(store) if matches(&store) => store,
-                _ => {
-                    if let Some(dir) = path.parent() {
-                        sweep_stale_tmp_files(dir);
-                    }
-                    let tmp = path.with_extension(format!(
-                        "tmp-{}-{}",
-                        std::process::id(),
-                        publish_seq()
-                    ));
-                    write_graph_shard(&tmp, graph, start, end)?;
-                    std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-                        path: path.clone(),
-                        action: "publish",
-                        source,
-                    })?;
-                    SharedCsrFile::open_with(&path, opts, DEFAULT_CACHE_SHARDS)?
-                }
-            };
-            let store = Arc::new(store);
-            *guard = Some(Arc::clone(&store));
-            out.push(store);
-        }
-        Ok(out)
+        shard_ranges(n, shards)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (start, end))| {
+                let edges = offset(end) - offset(start);
+                publish(
+                    &self.graphs,
+                    StoreRegistry::graph_shard_key_path(graph, i, shards),
+                    opts,
+                    |s: &SharedCsrFile| s.num_nodes() == n && s.num_edges() == edges,
+                    |tmp| write_graph_shard(tmp, graph, start, end),
+                )
+            })
+            .collect()
     }
 
-    /// Opens (publishing first if needed) the shared topology file for
-    /// `graph` — the graph analogue of
-    /// [`StoreRegistry::open_feature_table`]: the first call for a
-    /// content key serializes and opens; every later call returns the
-    /// same `Arc` (one file descriptor, one sharded page cache per
-    /// sweep). An existing on-disk file is revalidated through the
-    /// usual magic/header/length checks; anything stale or foreign is
-    /// replaced via write-to-temporary + atomic rename. Requesting a
-    /// key that is already open with *different* options fails with
-    /// [`StoreError::OptionsConflict`].
-    pub fn open_graph_csr(
+    /// Opens a run's feature and topology tiers over `shards` modeled
+    /// devices. `opts.cache_pages` is the *total* page-cache budget:
+    /// each device gets an even slice of it, so an N-shard run holds
+    /// the same pages as an unsharded one.
+    ///
+    /// Each device gets one member store — a row window of `table` or
+    /// the whole `graph` on the mem tiers, a scoped [`StoreHandle`] /
+    /// [`FileTopology`] over its registry-shared file on the file
+    /// tiers, and its own [`IspGatherStore`] / [`IspSampleTopology`]
+    /// device model (SSD timing, queue depth, ISP cores; the virtual
+    /// clock belongs to the run) over that file on the ISP tiers. One
+    /// shard returns the member itself; more shards route through
+    /// [`ShardedFeatureStore`] / [`ShardedTopology`]. When both axes
+    /// are file-backed, their node populations and shard counts are
+    /// cross-checked up front ([`check_sharded_population`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    pub fn open_tiers(
         &self,
-        graph: &CsrGraph,
+        table: &FeatureTable,
+        graph: &Arc<CsrGraph>,
+        store: StoreKind,
+        topology: TopologyKind,
+        shards: usize,
         opts: FileStoreOptions,
-    ) -> Result<Arc<SharedCsrFile>, StoreError> {
-        let path = StoreRegistry::graph_content_key_path(graph);
-        let slot: GraphSlot = {
-            let mut entries = self.graph_entries.safe_lock();
-            Arc::clone(entries.entry(path.clone()).or_default())
+    ) -> Result<Tiers, StoreError> {
+        let num_nodes = graph.num_nodes();
+        let ranges = shard_ranges(num_nodes, shards);
+        let opts = FileStoreOptions {
+            cache_pages: (opts.cache_pages / shards).max(1),
+            ..opts
         };
-        let mut guard = slot.safe_lock();
-        if let Some(existing) = guard.as_ref() {
-            if existing.options() != opts {
-                return Err(StoreError::OptionsConflict {
-                    path,
-                    requested: opts,
-                    open: existing.options(),
-                });
-            }
-            return Ok(Arc::clone(existing));
+        let feature_files = match store {
+            StoreKind::Mem => Vec::new(),
+            _ => self.open_feature_shards(table, num_nodes, shards, opts)?,
+        };
+        let graph_files = match topology {
+            TopologyKind::Mem => Vec::new(),
+            _ => self.open_graph_shards(graph, shards, opts)?,
+        };
+        if !feature_files.is_empty() && !graph_files.is_empty() {
+            check_sharded_population(&graph_files, &feature_files)?;
         }
-        let matches = |s: &SharedCsrFile| {
-            s.num_nodes() == graph.num_nodes() && s.num_edges() == graph.num_edges()
+        let isp = IspGatherOptions::default();
+        let features: Vec<Box<dyn FeatureStore + Send>> = match store {
+            StoreKind::Mem => table_slices(table.clone(), &ranges),
+            StoreKind::File => feature_files
+                .iter()
+                .map(|f| Box::new(StoreHandle::new(Arc::clone(f))) as _)
+                .collect(),
+            StoreKind::Isp => feature_files
+                .iter()
+                .map(|f| Box::new(IspGatherStore::over(Arc::clone(f), isp.clone())) as _)
+                .collect(),
         };
-        let store = match SharedCsrFile::open_with(&path, opts, DEFAULT_CACHE_SHARDS) {
-            Ok(store) if matches(&store) => store,
-            _ => {
-                // ssl::allow(SSL004): publish-temporary sequence
-                // number — names files, never read as a statistic.
-                static SEQ: AtomicU64 = AtomicU64::new(0);
-                if let Some(dir) = path.parent() {
-                    sweep_stale_tmp_files(dir);
-                }
-                let tmp = path.with_extension(format!(
-                    "tmp-{}-{}",
-                    std::process::id(),
-                    SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                write_graph_file(&tmp, graph)?;
-                std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
-                    path: path.clone(),
-                    action: "publish",
-                    source,
-                })?;
-                SharedCsrFile::open_with(&path, opts, DEFAULT_CACHE_SHARDS)?
-            }
+        let topologies: Vec<Box<dyn TopologyStore + Send>> = match topology {
+            TopologyKind::Mem => ranges
+                .iter()
+                .map(|_| Box::new(InMemoryTopology::from_arc(Arc::clone(graph))) as _)
+                .collect(),
+            TopologyKind::File => graph_files
+                .iter()
+                .map(|f| Box::new(FileTopology::new(Arc::clone(f))) as _)
+                .collect(),
+            TopologyKind::Isp => graph_files
+                .iter()
+                .map(|f| Box::new(IspSampleTopology::over(Arc::clone(f), isp.clone())) as _)
+                .collect(),
         };
-        let store = Arc::new(store);
-        *guard = Some(Arc::clone(&store));
-        Ok(store)
-    }
-
-    /// Every graph file currently open in this registry.
-    fn open_graphs(&self) -> Vec<Arc<SharedCsrFile>> {
-        let slots: Vec<GraphSlot> = {
-            let entries = self.graph_entries.safe_lock();
-            entries.values().cloned().collect()
-        };
-        slots
-            .iter()
-            .filter_map(|slot| slot.safe_lock().clone())
-            .collect()
-    }
-
-    /// Every store currently open in this registry (empty slots from
-    /// failed opens are skipped).
-    fn open_stores(&self) -> Vec<Arc<SharedFileStore>> {
-        let slots: Vec<Slot> = {
-            let entries = self.entries.safe_lock();
-            entries.values().cloned().collect()
-        };
-        slots
-            .iter()
-            .filter_map(|slot| slot.safe_lock().clone())
-            .collect()
+        Ok(Tiers {
+            store: ShardedFeatureStore::join(features, ranges.clone()),
+            topology: ShardedTopology::join(topologies, ranges, graph.num_edges()),
+            feature_files,
+            graph_files,
+        })
     }
 
     /// Number of distinct stores (feature + graph) this registry has
     /// open.
     pub fn len(&self) -> usize {
-        self.open_stores().len() + self.open_graphs().len()
+        open_files(&self.features).len() + open_files(&self.graphs).len()
     }
 
     /// `true` when no store is open.
@@ -482,27 +424,8 @@ impl StoreRegistry {
     /// Per-store cache occupancy — feature stores and graph topology
     /// files alike — sorted by path for stable output.
     pub fn occupancy(&self) -> Vec<StoreOccupancy> {
-        let mut out: Vec<StoreOccupancy> = self
-            .open_stores()
-            .iter()
-            .map(|s| {
-                let prefetch = s.prefetch_stats();
-                StoreOccupancy {
-                    path: s.path().to_path_buf(),
-                    shard_pages: s.cache_occupancy(),
-                    capacity_pages: s.cache_capacity(),
-                    prefetch_pages: prefetch.pages_read,
-                    prefetch_bytes: prefetch.bytes_read,
-                }
-            })
-            .collect();
-        out.extend(self.open_graphs().iter().map(|g| StoreOccupancy {
-            path: g.path().to_path_buf(),
-            shard_pages: g.cache_occupancy(),
-            capacity_pages: g.cache_capacity(),
-            prefetch_pages: 0,
-            prefetch_bytes: 0,
-        }));
+        let mut out = occupancy_of(&self.features);
+        out.extend(occupancy_of(&self.graphs));
         out.sort_by(|a, b| a.path.cmp(&b.path));
         out
     }
@@ -512,11 +435,11 @@ impl StoreRegistry {
     /// a no-op there, but it is also how tests cold-start the global
     /// one.
     pub fn clear_caches(&self) {
-        for store in self.open_stores() {
-            store.clear_cache();
+        for store in open_files(&self.features) {
+            store.paged().cache().clear();
         }
-        for graph in self.open_graphs() {
-            graph.clear_cache();
+        for graph in open_files(&self.graphs) {
+            graph.paged().cache().clear();
         }
     }
 
@@ -524,8 +447,113 @@ impl StoreRegistry {
     /// alive; the registry just forgets them, so the next open is
     /// fresh.
     pub fn close_all(&self) {
-        self.entries.safe_lock().clear();
-        self.graph_entries.safe_lock().clear();
+        self.features.safe_lock().clear();
+        self.graphs.safe_lock().clear();
+    }
+}
+
+/// The one publish discipline behind every open: fetch `path`'s slot,
+/// return the file already open there (or fail with
+/// [`StoreError::OptionsConflict`] if it was opened with other
+/// options), else revalidate the on-disk file against `fits` and, if it
+/// is missing, stale or foreign, sweep stale temporaries, `write` a
+/// fresh temporary, rename it into place and reopen.
+fn publish<F: Published>(
+    slots: &Slots<F>,
+    path: PathBuf,
+    opts: FileStoreOptions,
+    fits: impl Fn(&F) -> bool,
+    write: impl FnOnce(&Path) -> Result<(), StoreError>,
+) -> Result<Arc<F>, StoreError> {
+    // ssl::allow(SSL004): publish-temporary sequence number — names
+    // files, never read as a statistic.
+    static PUBLISH_SEQ: AtomicU64 = AtomicU64::new(0);
+    // Two-level locking: the map lock is held only long enough to
+    // fetch/create this key's slot; serialization (a multi-MB write)
+    // happens under the per-key slot lock, so opens of other keys
+    // proceed concurrently and concurrent openers of this key cannot
+    // both serialize it.
+    let slot = {
+        let mut slots = slots.safe_lock();
+        Arc::clone(slots.entry(path.clone()).or_default())
+    };
+    let mut guard = slot.safe_lock();
+    if let Some(existing) = guard.as_ref() {
+        // Never hand a caller a file with a different geometry than it
+        // asked for — its I/O accounting would silently be computed
+        // against someone else's page size and capacity.
+        let open = existing.paged().options();
+        if open != opts {
+            return Err(StoreError::OptionsConflict {
+                path,
+                requested: opts,
+                open,
+            });
+        }
+        return Ok(Arc::clone(existing));
+    }
+    let file = match F::open(&path, opts) {
+        Ok(file) if fits(&file) => file,
+        _ => {
+            if let Some(dir) = path.parent() {
+                sweep_stale_tmp_files(dir);
+            }
+            let tmp = path.with_extension(format!(
+                "tmp-{}-{}",
+                std::process::id(),
+                PUBLISH_SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            write(&tmp)?;
+            std::fs::rename(&tmp, &path).map_err(|source| StoreError::Io {
+                path: path.clone(),
+                action: "publish",
+                source,
+            })?;
+            F::open(&path, opts)?
+        }
+    };
+    let file = Arc::new(file);
+    *guard = Some(Arc::clone(&file));
+    Ok(file)
+}
+
+/// Every file of one kind currently open (empty slots from failed
+/// opens are skipped).
+fn open_files<F>(slots: &Slots<F>) -> Vec<Arc<F>> {
+    let slots: Vec<Slot<F>> = {
+        let slots = slots.safe_lock();
+        slots.values().cloned().collect()
+    };
+    slots
+        .iter()
+        .filter_map(|slot| slot.safe_lock().clone())
+        .collect()
+}
+
+/// The occupancy report of every open file of one kind.
+fn occupancy_of<F: Published>(slots: &Slots<F>) -> Vec<StoreOccupancy> {
+    open_files(slots)
+        .iter()
+        .map(|f| {
+            let prefetch = f.prefetched();
+            StoreOccupancy {
+                path: f.paged().path().to_path_buf(),
+                shard_pages: f.paged().cache().occupancy(),
+                capacity_pages: f.paged().cache().capacity(),
+                prefetch_pages: prefetch.pages_read,
+                prefetch_bytes: prefetch.bytes_read,
+            }
+        })
+        .collect()
+}
+
+/// The key suffix of shard `shard` of a `shards`-way partition: empty
+/// for the 1-way partition, which is the unsharded file.
+fn partition_suffix(shard: usize, shards: usize) -> String {
+    if shards == 1 {
+        String::new()
+    } else {
+        format!("-p{shard}of{shards}")
     }
 }
 
@@ -550,15 +578,6 @@ fn graph_fingerprint(graph: &CsrGraph) -> u64 {
         }
     }
     h
-}
-
-/// Next publish-temporary sequence number — names temporary files,
-/// never read as a statistic.
-fn publish_seq() -> u64 {
-    // ssl::allow(SSL004): publish-temporary sequence number — names
-    // files, never read as a statistic.
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    SEQ.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Parses the pid out of a publish-temporary file name
@@ -881,6 +900,96 @@ mod tests {
         assert_eq!(store.num_nodes(), 12);
         assert_eq!(store.num_edges(), g.num_edges());
         let _ = std::fs::remove_file(&path);
+    }
+
+    fn power_law(nodes: usize, seed: u64) -> CsrGraph {
+        use smartsage_graph::generate::{generate_power_law, PowerLawConfig};
+        generate_power_law(&PowerLawConfig {
+            nodes,
+            avg_degree: 4.0,
+            seed,
+            ..PowerLawConfig::default()
+        })
+    }
+
+    #[test]
+    fn the_one_way_partition_is_the_unsharded_file() {
+        let opts = FileStoreOptions::default();
+        let t = table(0x1_0A7);
+        let reg = StoreRegistry::new();
+        let shard = reg.open_feature_shards(&t, 33, 1, opts).unwrap();
+        let whole = reg.open_feature_table(&t, 33, opts).unwrap();
+        assert!(Arc::ptr_eq(&shard[0], &whole), "one key, one open store");
+        assert_eq!(reg.len(), 1);
+        assert_eq!(whole.path(), StoreRegistry::content_key_path(&t, 33));
+
+        let g = power_law(30, 0x1_0A8);
+        let reg = StoreRegistry::new();
+        let shard = reg.open_graph_shards(&g, 1, opts).unwrap();
+        let whole = reg.open_graph_csr(&g, opts).unwrap();
+        assert!(Arc::ptr_eq(&shard[0], &whole), "one key, one open file");
+        assert_eq!(reg.len(), 1);
+        assert_eq!(whole.path(), StoreRegistry::graph_content_key_path(&g));
+        for p in [
+            whole.path(),
+            StoreRegistry::content_key_path(&t, 33).as_path(),
+        ] {
+            let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn graph_occupancy_reports_read_ahead() {
+        let g = power_law(600, 0x1_0A9);
+        let reg = StoreRegistry::new();
+        let graph = reg.open_graph_csr(&g, FileStoreOptions::default()).unwrap();
+        let nodes: Vec<NodeId> = (0..600u32).map(NodeId::new).collect();
+        graph.prefetch_offsets(&nodes);
+        let prefetched = graph.prefetch_stats();
+        assert!(prefetched.pages_read > 0, "a cold warm reads pages");
+        let occ = reg.occupancy();
+        assert_eq!(occ.len(), 1);
+        assert_eq!(occ[0].prefetch_pages, prefetched.pages_read);
+        assert_eq!(occ[0].prefetch_bytes, prefetched.bytes_read);
+        let _ = std::fs::remove_file(graph.path());
+    }
+
+    #[test]
+    fn open_tiers_opens_one_file_per_shard_on_each_file_axis() {
+        let t = table(0x1_0AA);
+        let g = Arc::new(power_law(50, 0x1_0AB));
+        let opts = FileStoreOptions {
+            cache_pages: 12,
+            ..FileStoreOptions::default()
+        };
+        let mut published = Vec::new();
+        for shards in [1, 3] {
+            for store in [StoreKind::Mem, StoreKind::File, StoreKind::Isp] {
+                for topology in [TopologyKind::Mem, TopologyKind::File, TopologyKind::Isp] {
+                    let reg = StoreRegistry::new();
+                    let tiers = reg
+                        .open_tiers(&t, &g, store, topology, shards, opts)
+                        .unwrap();
+                    let files = usize::from(store != StoreKind::Mem)
+                        + usize::from(topology != TopologyKind::Mem);
+                    assert_eq!(reg.len(), files * shards, "{store:?}/{topology:?}/{shards}");
+                    assert_eq!(tiers.store.shard_stats().len(), shards);
+                    assert_eq!(tiers.topology.shard_stats().len(), shards);
+                    assert_eq!(
+                        tiers.feature_files.len() + tiers.graph_files.len(),
+                        files * shards
+                    );
+                    let slices = tiers.feature_files.iter().map(|f| f.options());
+                    for o in slices.chain(tiers.graph_files.iter().map(|g| g.options())) {
+                        assert_eq!(o.cache_pages, 12 / shards, "one budget slice per device");
+                    }
+                    published.extend(reg.occupancy().into_iter().map(|o| o.path));
+                }
+            }
+        }
+        for p in published {
+            let _ = std::fs::remove_file(p);
+        }
     }
 
     #[test]

@@ -324,6 +324,26 @@ pub fn check_sharded_population(
     Ok(())
 }
 
+/// One in-memory member per range of `ranges`: row windows onto one
+/// shared copy of `table`.
+pub(crate) fn table_slices(
+    table: FeatureTable,
+    ranges: &[(usize, usize)],
+) -> Vec<Box<dyn FeatureStore + Send>> {
+    let table = Arc::new(table);
+    ranges
+        .iter()
+        .map(|&(start, end)| {
+            Box::new(TableSlice {
+                table: Arc::clone(&table),
+                start,
+                len: end - start,
+                stats: StoreStats::default(),
+            }) as Box<dyn FeatureStore + Send>
+        })
+        .collect()
+}
+
 /// An in-memory feature shard: a contiguous row window onto a shared
 /// [`FeatureTable`], addressed by local index — the mem-tier twin of a
 /// feature shard file, so the sharded mem store exercises exactly the
@@ -410,29 +430,8 @@ impl ShardedFeatureStore {
     /// [`shard_ranges`]. No I/O — but the same routing as the file
     /// tiers, which is what the conformance suite leans on.
     pub fn mem(table: FeatureTable, num_nodes: usize, shards: usize) -> ShardedFeatureStore {
-        let table = Arc::new(table);
         let ranges = shard_ranges(num_nodes, shards);
-        let dim = table.dim();
-        let num_classes = table.num_classes();
-        let members = ranges
-            .iter()
-            .map(|&(start, end)| {
-                Box::new(TableSlice {
-                    table: Arc::clone(&table),
-                    start,
-                    len: end - start,
-                    stats: StoreStats::default(),
-                }) as Box<dyn FeatureStore + Send>
-            })
-            .collect();
-        ShardedFeatureStore {
-            members,
-            ranges,
-            dim,
-            num_classes,
-            num_nodes,
-            access: StoreStats::default(),
-        }
+        ShardedFeatureStore::from_members(table_slices(table, &ranges), ranges)
     }
 
     /// The host-path file tier: one scoped [`StoreHandle`] per shard
@@ -480,15 +479,38 @@ impl ShardedFeatureStore {
             ranges.push((start, start + f.num_nodes()));
             start += f.num_nodes();
         }
-        let members = files.iter().map(make).collect();
-        Ok(ShardedFeatureStore {
+        Ok(ShardedFeatureStore::from_members(
+            files.iter().map(make).collect(),
+            ranges,
+        ))
+    }
+
+    /// `members` at their contiguous `ranges`, which must tile
+    /// `0..num_nodes`; dim and classes are the first member's.
+    fn from_members(
+        members: Vec<Box<dyn FeatureStore + Send>>,
+        ranges: Vec<(usize, usize)>,
+    ) -> ShardedFeatureStore {
+        ShardedFeatureStore {
+            dim: members[0].dim(),
+            num_classes: members[0].num_classes(),
+            num_nodes: ranges.last().map_or(0, |&(_, end)| end),
             members,
             ranges,
-            dim,
-            num_classes,
-            num_nodes: start,
             access: StoreStats::default(),
-        })
+        }
+    }
+
+    /// The one member itself when there is one shard, else the sharded
+    /// store routing over `members` at `ranges`.
+    pub(crate) fn join(
+        mut members: Vec<Box<dyn FeatureStore + Send>>,
+        ranges: Vec<(usize, usize)>,
+    ) -> Box<dyn FeatureStore + Send> {
+        match members.len() {
+            1 => members.remove(0),
+            _ => Box::new(ShardedFeatureStore::from_members(members, ranges)),
+        }
     }
 
     /// Number of shards.
@@ -603,9 +625,7 @@ impl ShardedTopology {
     /// The mem tier: `shards` wrappers over one shared graph, split by
     /// [`shard_ranges`]. No I/O, same routing as the file tiers.
     pub fn mem(graph: Arc<CsrGraph>, shards: usize) -> ShardedTopology {
-        let num_nodes = graph.num_nodes();
-        let num_edges = graph.num_edges();
-        let ranges = shard_ranges(num_nodes, shards);
+        let ranges = shard_ranges(graph.num_nodes(), shards);
         let members = ranges
             .iter()
             .map(|_| {
@@ -613,13 +633,7 @@ impl ShardedTopology {
                     as Box<dyn TopologyStore + Send>
             })
             .collect();
-        ShardedTopology {
-            members,
-            ranges,
-            num_nodes,
-            num_edges,
-            access: StoreStats::default(),
-        }
+        ShardedTopology::from_members(members, ranges, graph.num_edges())
     }
 
     /// The host-path file tier: one [`FileTopology`] per shard file.
@@ -681,14 +695,40 @@ impl ShardedTopology {
             }
             num_edges += f.num_edges();
         }
-        let members = files.iter().map(make).collect();
-        Ok(ShardedTopology {
+        Ok(ShardedTopology::from_members(
+            files.iter().map(make).collect(),
+            ranges.to_vec(),
+            num_edges,
+        ))
+    }
+
+    /// `members` at their contiguous `ranges`, which must tile
+    /// `0..num_nodes`, over a graph of `num_edges` edges in total.
+    fn from_members(
+        members: Vec<Box<dyn TopologyStore + Send>>,
+        ranges: Vec<(usize, usize)>,
+        num_edges: u64,
+    ) -> ShardedTopology {
+        ShardedTopology {
+            num_nodes: ranges.last().map_or(0, |&(_, end)| end),
             members,
-            ranges: ranges.to_vec(),
-            num_nodes,
+            ranges,
             num_edges,
             access: StoreStats::default(),
-        })
+        }
+    }
+
+    /// The one member itself when there is one shard, else the sharded
+    /// topology routing over `members` at `ranges`.
+    pub(crate) fn join(
+        mut members: Vec<Box<dyn TopologyStore + Send>>,
+        ranges: Vec<(usize, usize)>,
+        num_edges: u64,
+    ) -> Box<dyn TopologyStore + Send> {
+        match members.len() {
+            1 => members.remove(0),
+            _ => Box::new(ShardedTopology::from_members(members, ranges, num_edges)),
+        }
     }
 
     /// Number of shards.

@@ -53,7 +53,7 @@ pub const DEFAULT_CACHE_SHARDS: usize = 8;
 /// counters; this type itself only counts its background prefetch I/O.
 #[derive(Debug)]
 pub struct SharedFileStore {
-    file: PagedFile,
+    pub(crate) file: PagedFile,
     dim: usize,
     num_nodes: usize,
     num_classes: usize,
